@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cassert>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <new>
 #include <unordered_map>
@@ -262,6 +263,10 @@ Nfa dprle::intersect(const Nfa &Lhs, const Nfa &Rhs, ProductMap *Map) {
 //===----------------------------------------------------------------------===//
 
 Dfa dprle::determinize(const Nfa &M) {
+  return *determinizeWithin(M, std::numeric_limits<size_t>::max());
+}
+
+std::optional<Dfa> dprle::determinizeWithin(const Nfa &M, size_t MaxStates) {
   DPRLE_TRACE_SPAN("determinize");
   if (FaultInjector::global().shouldFail("alloc.determinize"))
     throw std::bad_alloc();
@@ -311,7 +316,9 @@ Dfa dprle::determinize(const Nfa &M) {
   // exactly the order the classic per-class rescan discovered successors.
   std::vector<std::vector<StateId>> Buckets(K);
   std::vector<StateId> Cur, Next;
-  for (StateId Row = 0; Row != Sets.numSets() && !ResourceGuard::exhausted();
+  for (StateId Row = 0; Row != Sets.numSets() &&
+                        Sets.numSets() <= MaxStates &&
+                        !ResourceGuard::exhausted();
        ++Row) {
     // Copy: the interner pool may reallocate as successors are interned.
     Cur.assign(Sets.begin(Row), Sets.end(Row));
@@ -343,6 +350,8 @@ Dfa dprle::determinize(const Nfa &M) {
     }
   }
 
+  if (Sets.numSets() > MaxStates)
+    return std::nullopt;
   if (ResourceGuard::exhausted()) {
     // Cooperative unwind: some table rows were never filled. Return a
     // well-formed one-state sink (complete, non-accepting) that callers

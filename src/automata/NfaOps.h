@@ -59,6 +59,10 @@ Nfa optional(const Nfa &M);
 /// Subset construction; the result is a complete DFA.
 Dfa determinize(const Nfa &M);
 
+/// determinize() that gives up once the DFA has more than \p MaxStates
+/// states, returning std::nullopt instead of building the rest.
+std::optional<Dfa> determinizeWithin(const Nfa &M, size_t MaxStates);
+
 /// Language complement with respect to Sigma-star.
 Nfa complement(const Nfa &M);
 

@@ -1,12 +1,18 @@
-//===- Slice.h - Backward slices from taint sinks ---------------*- C++ -*-==//
+//===- Slice.h - Backward slices of taint sinks -----------------*- C++ -*-==//
 ///
 /// \file
-/// Backward slicing over a Cfg, driven by the facts of a taint pass
-/// (Taint.h). For every sink the pass computes the set of statements that
-/// can affect the sink expression — the assignments (transitively)
-/// defining its variables and the branch conditions guarding the sink —
-/// and, across all *live* (not proven-safe) sinks, two program-wide
-/// summaries the symbolic executor uses to prune its walk:
+/// Backward slicing over a Cfg: the first step of the taint pre-pass
+/// (Taint.h). For every sink an audit looks at, the slicer computes the
+/// statements that can affect the sink expression — the assignments
+/// (transitively) defining its variables and the branch conditions
+/// guarding the sink. This needs the CFG and the sink statements only, no
+/// language approximation, so it runs before the taint sweep and tells
+/// the sweep where to look: blocks that can reach a sink, and variables
+/// whose values can flow into one.
+///
+/// Once the sweep knows which sinks are live (not proven safe),
+/// pruneSummary() derives the two program-wide summaries the symbolic
+/// executor uses to prune its walk:
 ///
 ///  * `ReachesLiveSink[b]` — whether block `b` can still reach a sink
 ///    that needs solving; exploration stops at blocks that cannot.
@@ -23,7 +29,7 @@
 #define DPRLE_MINIPHP_SLICE_H
 
 #include "miniphp/Cfg.h"
-#include "miniphp/Taint.h"
+#include "miniphp/Policy.h"
 
 #include <set>
 #include <string>
@@ -36,53 +42,60 @@ namespace miniphp {
 struct SinkSlice {
   const Stmt *Sink = nullptr;
   unsigned Line = 0;
+  /// The block holding the sink.
+  BlockId Block = 0;
   /// Source lines of the slice: the sink itself, the assignments that
   /// can (transitively) define its variables, and the conditions of the
   /// branches guarding it.
   std::set<unsigned> Lines;
   /// Variables that can affect the sink expression or its guards.
   std::set<std::string> Vars;
+  /// The part of Vars whose values can flow into the sink expression:
+  /// its own variables closed over their definitions, without variables
+  /// that only feed guards. The taint sweep tracks exactly these.
+  std::set<std::string> ValueVars;
 };
 
-/// The result of slicing one taint pass.
-struct SliceResult {
-  /// False when the inputs were unusable (taint pass not Ok); consumers
-  /// must then skip all pruning.
-  bool Ok = false;
-  /// One slice per TaintResult sink, in the same order.
+/// The slices of every sink some spec audits, and the CFG facts the taint
+/// sweep and the prune summaries share.
+struct CfgSlices {
+  /// One slice per audited sink, in CFG (block, index) order.
   std::vector<SinkSlice> Slices;
-  /// Union of SinkSlice::Vars over the live (not proven-safe) sinks.
-  std::set<std::string> RelevantVars;
-  /// Per block: can this block reach a live sink? (A block containing
-  /// one counts.) Indexed by BlockId; empty iff !Ok.
-  std::vector<char> ReachesLiveSink;
+  /// Per block: its predecessors.
+  std::vector<std::vector<BlockId>> Preds;
+  /// Per block: is it reachable from the entry? Sinks in other blocks
+  /// are dead code.
+  std::vector<char> Reachable;
+  /// Per block: can it reach an audited sink? (A block holding one
+  /// counts.) The taint sweep visits only blocks that are Reachable and
+  /// ReachesSink.
+  std::vector<char> ReachesSink;
+  /// Union of ValueVars over the reachable sinks: the variables the
+  /// taint sweep tracks.
+  std::set<std::string> ValueVars;
 
   const SinkSlice *sliceFor(const Stmt *S) const;
+  /// Blocks from which a block with \p Targets set is reachable (a
+  /// target block itself counts), walking Preds backward.
+  std::vector<char> blocksReaching(const std::vector<char> &Targets) const;
 };
 
-/// Computes backward slices over \p G for the sinks of \p T.
-SliceResult computeSlices(const Cfg &G, const TaintResult &T);
+/// Slices \p G for every sink statement that some spec of \p Specs audits.
+CfgSlices sliceSinks(const Cfg &G, const std::vector<AttackSpec> &Specs);
 
-/// Per-policy slices plus the cross-policy unions the shared multi-spec
-/// walk (runSymExecAll) prunes with: a block is explored while ANY
-/// policy's live sink is reachable, and an assignment is kept while its
-/// target is relevant to ANY policy.
-struct AuditSliceResult {
-  /// False when any input taint pass was unusable; consumers must then
-  /// skip all pruning.
-  bool Ok = false;
-  /// One SliceResult per TaintResult, in the same order.
-  std::vector<SliceResult> PerPolicy;
-  /// Union of the per-policy RelevantVars.
+/// What symbolic execution may skip, given a set of live sinks.
+struct PruneSummary {
+  /// Union of SinkSlice::Vars over the live sinks.
   std::set<std::string> RelevantVars;
-  /// Per block: can it reach a live sink of any policy?
+  /// Per block: can this block reach a live sink? (A block containing
+  /// one counts.) Indexed by BlockId.
   std::vector<char> ReachesLiveSink;
 };
 
-/// Slices every taint result of a shared multi-policy pass
-/// (analyzeTaintAll) over \p G, building the CFG predecessor lists once.
-AuditSliceResult computeAuditSlices(const Cfg &G,
-                                    const std::vector<TaintResult> &Taints);
+/// The prune summary over the slices of \p Slices whose \p Live flag is
+/// set (Live is parallel to Slices.Slices).
+PruneSummary pruneSummary(const CfgSlices &Slices,
+                          const std::vector<char> &Live);
 
 } // namespace miniphp
 } // namespace dprle

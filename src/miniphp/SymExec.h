@@ -114,7 +114,8 @@ struct SymExecStats {
 
 /// Explores the acyclic paths of \p G (over \p P) that reach a sink and
 /// translates each into an RMA instance, optionally pruning with taint
-/// facts (SymExecOptions::TaintPrune).
+/// facts (SymExecOptions::TaintPrune). The one-spec case of
+/// runSymExecAll.
 SymExecResult runSymExec(const Program &P, const Cfg &G,
                          const AttackSpec &Attack,
                          const SymExecOptions &Opts = {});
@@ -130,7 +131,8 @@ std::vector<PathCondition> enumerateSinkPaths(const Program &P,
 /// paths: the CFG is traversed once, condition constraints are built once
 /// per path prefix, and each sink statement fans out into one
 /// PathCondition per spec that audits its callee. With Opts.TaintPrune the
-/// shared pre-pass (analyzeTaintAll + computeAuditSlices) also runs once.
+/// shared pre-pass (analyzeTaintAll: slices, one taint sweep, prune
+/// summaries) also runs once.
 ///
 /// Result[i] is bit-identical in verdict to `runSymExec(P, G, Specs[i],
 /// Opts)`: per-spec paths are emitted in the same order with the same

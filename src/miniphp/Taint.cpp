@@ -9,9 +9,12 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
+#include <map>
 #include <optional>
+#include <unordered_map>
 
 using namespace dprle;
 using namespace dprle::miniphp;
@@ -76,13 +79,6 @@ TaintStats &TaintStats::global() {
   return Stats;
 }
 
-const SinkFact *TaintResult::factFor(const Stmt *S) const {
-  for (const SinkFact &F : Sinks)
-    if (F.Sink == S)
-      return &F;
-  return nullptr;
-}
-
 unsigned TaintResult::numProvenSafe() const {
   unsigned N = 0;
   for (const SinkFact &F : Sinks)
@@ -115,10 +111,29 @@ struct RegisterTaintStats {
 
 RegisterTaintStats RegisterTaintStatsInit;
 
-/// Per-block abstract environment: variable -> abstract value. A missing
-/// variable reads as the empty string (TaintValue::emptyString), exactly
-/// as in SymExec's concrete semantics.
-using Env = std::map<std::string, TaintValue>;
+/// The tracked variables (CfgSlices::ValueVars), densely numbered.
+class TrackedVars {
+public:
+  explicit TrackedVars(const std::set<std::string> &Vars)
+      : Names(Vars.begin(), Vars.end()) {}
+
+  size_t size() const { return Names.size(); }
+
+  /// The index of \p Var, or -1 when the sweep does not track it.
+  int indexOf(const std::string &Var) const {
+    auto It = std::lower_bound(Names.begin(), Names.end(), Var);
+    return It != Names.end() && *It == Var ? int(It - Names.begin()) : -1;
+  }
+
+private:
+  std::vector<std::string> Names; // sorted
+};
+
+/// Per-block abstract environment: tracked variable index -> abstract
+/// value. A variable not yet assigned holds TaintValue::emptyString(),
+/// the empty string PHP reads, exactly as in SymExec's concrete
+/// semantics.
+using Env = std::vector<TaintValue>;
 
 /// Widens \p V's approximation to Sigma-star past the state cap, keeping
 /// joins and concatenations bounded.
@@ -129,58 +144,55 @@ void capApprox(TaintValue &V, const TaintOptions &Opts) {
   ++TaintStats::global().ApproxWidened;
 }
 
-/// Lattice join of two abstract values: level max, language union,
-/// source/line union. Identical shared machines (a variable untouched by
-/// either branch) are reused without building a union.
-TaintValue joinValue(const TaintValue &A, const TaintValue &B,
-                     const TaintOptions &Opts) {
-  if (A.Approx == B.Approx && A.Level == B.Level && A.Sources == B.Sources &&
-      A.DefLines == B.DefLines)
-    return A; // untouched on both sides: nothing to build
-  TaintValue Out;
-  Out.Level = joinTaint(A.Level, B.Level);
-  Out.Approx = A.Approx == B.Approx ? A.Approx
-                                    : share(alternate(*A.Approx, *B.Approx));
-  Out.Sources = A.Sources;
-  Out.Sources.insert(B.Sources.begin(), B.Sources.end());
-  Out.DefLines = A.DefLines;
-  Out.DefLines.insert(B.DefLines.begin(), B.DefLines.end());
-  capApprox(Out, Opts);
-  return Out;
+/// The minimal machine for L(M), or Sigma-star (a widening) when the
+/// determinization passes the state cap — the minimal machine then could
+/// exceed it too, and the rest of the subset construction is not built.
+std::shared_ptr<const Nfa> minimizedWithinCap(const Nfa &M,
+                                              const TaintOptions &Opts) {
+  std::optional<Dfa> D = determinizeWithin(M, Opts.ApproxStateCap);
+  if (!D) {
+    ++TaintStats::global().ApproxWidened;
+    return sharedSigmaStar();
+  }
+  return share(D->minimized().toNfa());
 }
 
-const TaintValue &lookup(const Env &E, const std::string &Var) {
-  static const TaintValue Empty = TaintValue::emptyString();
-  auto It = E.find(Var);
-  return It != E.end() ? It->second : Empty;
+/// Lattice join of \p From into \p Into: level max, language union,
+/// source/line union. Identical values (a variable untouched by either
+/// branch) are left as they are without building a union.
+void joinInto(TaintValue &Into, const TaintValue &From,
+              const TaintOptions &Opts) {
+  if (Into.Approx == From.Approx && Into.Level == From.Level &&
+      Into.Sources == From.Sources && Into.DefLines == From.DefLines)
+    return;
+  Into.Level = joinTaint(Into.Level, From.Level);
+  if (Into.Approx != From.Approx)
+    Into.Approx = share(alternate(*Into.Approx, *From.Approx));
+  Into.Sources.insert(From.Sources.begin(), From.Sources.end());
+  Into.DefLines.insert(From.DefLines.begin(), From.DefLines.end());
+  capApprox(Into, Opts);
 }
 
-/// Joins \p From into \p Into (pointwise; a variable bound on one side
-/// only joins against the implicit empty string).
+/// Joins \p From into \p Into pointwise (the first predecessor's
+/// environment is taken as is).
 void joinEnv(std::optional<Env> &Into, const Env &From,
              const TaintOptions &Opts) {
   if (!Into) {
     Into = From;
     return;
   }
-  Env &A = *Into;
-  for (auto &[Var, Val] : A) {
-    auto It = From.find(Var);
-    Val = joinValue(Val, It != From.end() ? It->second
-                                          : TaintValue::emptyString(),
-                    Opts);
-  }
-  for (const auto &[Var, Val] : From)
-    if (!A.count(Var))
-      A.emplace(Var, joinValue(TaintValue::emptyString(), Val, Opts));
+  for (size_t I = 0; I != From.size(); ++I)
+    joinInto((*Into)[I], From[I], Opts);
 }
 
 /// Abstract evaluation of a string expression: concatenation of the
 /// atoms' abstract values. Runs of literal atoms collapse into a single
 /// literal machine, and a lone variable/input atom reuses its shared
-/// machine outright.
+/// machine outright. An untracked variable reads as the empty string; the
+/// slices guarantee no sink observes such a read.
 TaintValue evalTaint(const StrExpr &E, const Env &Environment,
-                     const TaintOptions &Opts) {
+                     const TrackedVars &Tracked, const TaintOptions &Opts) {
+  static const TaintValue Empty = TaintValue::emptyString();
   TaintValue Out;
   std::string Lit;                  // pending run of literal text
   auto flushLit = [&] {
@@ -195,19 +207,20 @@ TaintValue evalTaint(const StrExpr &E, const Env &Environment,
       Lit += A.Text;
       continue;
     }
-    const TaintValue Input =
-        A.AtomKind == Atom::Kind::Input
-            ? TaintValue::untrustedInput(A.Source + ":" + A.Text)
-            : TaintValue();
-    const TaintValue &AtomVal = A.AtomKind == Atom::Kind::Input
-                                    ? Input
-                                    : lookup(Environment, A.Text);
+    TaintValue Input;
+    const TaintValue *AtomVal = &Input;
+    if (A.AtomKind == Atom::Kind::Input) {
+      Input = TaintValue::untrustedInput(A.Source + ":" + A.Text);
+    } else {
+      int Var = Tracked.indexOf(A.Text);
+      AtomVal = Var < 0 ? &Empty : &Environment[Var];
+    }
     flushLit();
-    Out.Approx = Out.Approx ? share(concat(*Out.Approx, *AtomVal.Approx))
-                            : AtomVal.Approx;
-    Out.Level = joinTaint(Out.Level, AtomVal.Level);
-    Out.Sources.insert(AtomVal.Sources.begin(), AtomVal.Sources.end());
-    Out.DefLines.insert(AtomVal.DefLines.begin(), AtomVal.DefLines.end());
+    Out.Approx = Out.Approx ? share(concat(*Out.Approx, *AtomVal->Approx))
+                            : AtomVal->Approx;
+    Out.Level = joinTaint(Out.Level, AtomVal->Level);
+    Out.Sources.insert(AtomVal->Sources.begin(), AtomVal->Sources.end());
+    Out.DefLines.insert(AtomVal->DefLines.begin(), AtomVal->DefLines.end());
     capApprox(Out, Opts);
   }
   flushLit();
@@ -218,65 +231,68 @@ TaintValue evalTaint(const StrExpr &E, const Env &Environment,
   return Out;
 }
 
-/// Sanitizer (partial) kills: refines \p E for the branch edge where
-/// \p Cond is known to have outcome \p Taken. Only positive information
-/// on single-variable operands is used — a taken preg_match narrows the
-/// variable to the pattern's search language, an equality against a
-/// literal pins it to that literal (a full kill). Negative outcomes and
-/// Length/Substr checks add no refinement, which is sound (the
-/// approximation merely stays wider).
-void refineForEdge(Env &E, const Condition &Cond, bool Taken, unsigned Line,
-                   const TaintOptions &Opts) {
+/// A tracked variable's value narrowed on one branch edge.
+struct Refinement {
+  unsigned Var;
+  TaintValue Value;
+};
+
+/// Search languages of the preg_match patterns seen in one sweep; null
+/// for an unparseable pattern.
+using PatternCache = std::map<std::string, std::shared_ptr<const Nfa>>;
+
+/// Sanitizer (partial) kills: the refinement of \p E for the branch edge
+/// where \p Cond is known to have outcome \p Taken, if any. Only positive
+/// information on single-variable operands is used — a taken preg_match
+/// narrows the variable to the pattern's search language (stored
+/// minimized), an equality against a literal pins it to that literal (a
+/// full kill). Negative outcomes, Length/Substr checks and untracked
+/// operands add no refinement, which is sound (the approximation merely
+/// stays wider) and, for untracked operands, unobservable at any sink.
+std::optional<Refinement> refineForEdge(const Env &E,
+                                        const TrackedVars &Tracked,
+                                        const Condition &Cond, bool Taken,
+                                        unsigned Line, PatternCache &Patterns,
+                                        const TaintOptions &Opts) {
   bool WantMatch = Taken != Cond.Negated;
   if (!WantMatch)
-    return;
+    return std::nullopt;
   if (Cond.Operand.size() != 1 ||
       Cond.Operand[0].AtomKind != Atom::Kind::Variable)
-    return;
-  const std::string &Var = Cond.Operand[0].Text;
+    return std::nullopt;
+  int Var = Tracked.indexOf(Cond.Operand[0].Text);
+  if (Var < 0)
+    return std::nullopt;
   if (Cond.CondKind == Condition::Kind::EqualsLiteral) {
-    TaintValue V;
-    V.Approx = share(Nfa::literal(Cond.Literal));
-    V.DefLines = lookup(E, Var).DefLines;
-    V.DefLines.insert(Line);
-    E[Var] = std::move(V);
+    Refinement R{unsigned(Var), TaintValue()};
+    R.Value.Approx = share(Nfa::literal(Cond.Literal));
+    R.Value.DefLines = E[Var].DefLines;
+    R.Value.DefLines.insert(Line);
     ++TaintStats::global().EdgesRefined;
-    return;
+    return R;
   }
   if (Cond.CondKind == Condition::Kind::PregMatch) {
-    RegexParseResult R = parseRegex(Cond.Pattern);
-    if (!R.ok())
-      return; // unparseable pattern: unconstraining, as in SymExec
-    TaintValue V = lookup(E, Var);
-    V.Approx = share(intersect(*V.Approx, searchLanguage(R)).trimmed());
-    capApprox(V, Opts);
-    V.DefLines.insert(Line);
-    E[Var] = std::move(V);
+    auto [It, Inserted] = Patterns.try_emplace(Cond.Pattern);
+    if (Inserted) {
+      RegexParseResult Parsed = parseRegex(Cond.Pattern);
+      if (Parsed.ok())
+        It->second = share(searchLanguage(Parsed));
+    }
+    if (!It->second)
+      return std::nullopt; // unparseable pattern: unconstraining, as in SymExec
+    Refinement R{unsigned(Var), E[Var]};
+    R.Value.Approx = minimizedWithinCap(
+        intersect(*R.Value.Approx, *It->second).trimmed(), Opts);
+    R.Value.DefLines.insert(Line);
     ++TaintStats::global().EdgesRefined;
+    return R;
   }
+  return std::nullopt;
 }
 
-/// Blocks reachable from the CFG entry (dead blocks exist: Cfg::lower
-/// gives unreachable code its own predecessor-less blocks).
-std::vector<char> reachableBlocks(const Cfg &G) {
-  std::vector<char> Seen(G.numBlocks(), 0);
-  std::deque<BlockId> Work{G.entry()};
-  Seen[G.entry()] = 1;
-  while (!Work.empty()) {
-    BlockId B = Work.front();
-    Work.pop_front();
-    for (BlockId S : G.block(B).Succs)
-      if (!Seen[S]) {
-        Seen[S] = 1;
-        Work.push_back(S);
-      }
-  }
-  return Seen;
-}
-
-/// Topological order of the reachable subgraph (Kahn). Returns an empty
-/// vector if a cycle prevents ordering — impossible for Cfg::build
-/// output, which lowers structured control flow into a DAG.
+/// Topological order of the blocks reachable from the entry (Kahn).
+/// Returns an empty vector if a cycle prevents ordering — impossible for
+/// Cfg::build output, which lowers structured control flow into a DAG.
 std::vector<BlockId> topologicalOrder(const Cfg &G,
                                       const std::vector<char> &Reachable) {
   std::vector<unsigned> InDegree(G.numBlocks(), 0);
@@ -306,59 +322,73 @@ std::vector<BlockId> topologicalOrder(const Cfg &G,
 
 } // namespace
 
-std::vector<TaintResult>
-dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
-                                const std::vector<AttackSpec> &Specs,
-                                const TaintOptions &Opts) {
+TaintAudit dprle::miniphp::analyzeTaintAll(const Cfg &G,
+                                           const std::vector<AttackSpec> &Specs,
+                                           const TaintOptions &Opts) {
   DPRLE_TRACE_SPAN("taint_dataflow");
-  (void)P; // statements are reached through the CFG blocks
   TaintStats &Stats = TaintStats::global();
   ++Stats.Runs;
 
-  std::vector<TaintResult> Results(Specs.size());
-  if (G.numBlocks() == 0 || Specs.empty()) {
-    for (TaintResult &R : Results)
-      R.Ok = true;
-    return Results;
-  }
-  std::vector<char> Reachable = reachableBlocks(G);
-  std::vector<BlockId> Order = topologicalOrder(G, Reachable);
-  if (Order.empty()) {
+  // Step 1: the backward slices scope the sweep.
+  TaintAudit Audit;
+  Audit.Slices = sliceSinks(G, Specs);
+  const CfgSlices &Slices = Audit.Slices;
+  Audit.PerSpec.resize(Specs.size());
+  std::vector<BlockId> Order;
+  if (G.numBlocks() != 0) {
+    Order = topologicalOrder(G, Slices.Reachable);
     // Cycle: no sound single-sweep order exists. Report failure; callers
     // fall back to un-pruned symbolic execution.
-    return Results;
+    if (Order.empty())
+      return Audit;
   }
 
-  // Forward sweep in topological order: every predecessor's out-edge env
-  // is joined into InEnv before the block itself is processed. The envs
-  // are spec-independent, so one sweep serves every spec; only the
-  // per-sink ProvenSafe check below consults an attack language.
+  // Step 2: the forward sweep in topological order over the blocks that
+  // can reach a sink: every predecessor's out-edge environment is joined
+  // into InEnv before the block itself is processed. A predecessor of
+  // such a block reaches the sink too, so no environment a sink can
+  // observe is skipped.
+  // The environments are spec-independent, so one sweep serves every
+  // spec; only the per-sink ProvenSafe check consults an attack language.
+  TrackedVars Tracked(Slices.ValueVars);
+  PatternCache Patterns;
+  std::unordered_map<const Stmt *, size_t> SliceIndex;
+  for (size_t I = 0; I != Slices.Slices.size(); ++I)
+    SliceIndex.emplace(Slices.Slices[I].Sink, I);
+  // Facts[spec][slice]: set once the sweep reaches the sink.
+  std::vector<std::vector<std::optional<SinkFact>>> Facts(
+      Specs.size(),
+      std::vector<std::optional<SinkFact>>(Slices.Slices.size()));
   std::vector<std::optional<Env>> InEnv(G.numBlocks());
-  std::vector<std::map<const Stmt *, SinkFact>> Facts(Specs.size());
-  InEnv[G.entry()] = Env();
+  if (G.numBlocks() != 0)
+    InEnv[G.entry()] = Env(Tracked.size(), TaintValue::emptyString());
   ++Stats.FixpointPasses;
   for (BlockId B : Order) {
+    if (!Slices.ReachesSink[B])
+      continue;
     assert(InEnv[B] && "topological order visits predecessors first");
-    Env Current = *InEnv[B];
+    Env Current = std::move(*InEnv[B]);
+    InEnv[B].reset();
     const BasicBlock &Block = G.block(B);
     for (const Stmt *S : Block.Stmts) {
       switch (S->StmtKind) {
       case Stmt::Kind::Assign: {
-        TaintValue V = evalTaint(S->Value, Current, Opts);
+        int Var = Tracked.indexOf(S->Target);
+        if (Var < 0)
+          break; // flows into no sink
+        TaintValue V = evalTaint(S->Value, Current, Tracked, Opts);
         V.DefLines.insert(S->Line);
-        Current[S->Target] = std::move(V);
+        Current[Var] = std::move(V);
         break;
       }
       case Stmt::Kind::Sink: {
-        bool Evaluated = false;
-        TaintValue V;
+        auto It = SliceIndex.find(S);
+        if (It == SliceIndex.end())
+          break; // no spec audits this callee
+        TaintValue V = evalTaint(S->Arg, Current, Tracked, Opts);
         for (size_t I = 0; I != Specs.size(); ++I) {
           if (!Specs[I].appliesTo(S->Callee))
             continue;
-          if (!Evaluated) {
-            V = evalTaint(S->Arg, Current, Opts);
-            Evaluated = true;
-          }
           SinkFact Fact;
           Fact.Sink = S;
           Fact.Line = S->Line;
@@ -373,7 +403,7 @@ dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
           // specs, and files.
           Fact.ProvenSafe =
               emptyIntersection(*V.Approx, Specs[I].AttackLanguage);
-          Facts[I].emplace(S, std::move(Fact));
+          Facts[I][It->second] = std::move(Fact);
         }
         break;
       }
@@ -386,20 +416,23 @@ dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
         // mirroring SymExec.
         if (S->Target.empty())
           break;
+        int Var = Tracked.indexOf(S->Target);
+        if (Var < 0)
+          break; // flows into no sink
         const SanitizerModel *San =
             PolicyRegistry::global().sanitizerFor(S->Callee);
         if (!San) {
-          Current[S->Target] = TaintValue::top();
+          Current[Var] = TaintValue::top();
           break;
         }
-        TaintValue Arg = evalTaint(S->Arg, Current, Opts);
+        TaintValue Arg = evalTaint(S->Arg, Current, Tracked, Opts);
         TaintValue V;
         V.Level = Arg.Level;
         V.Approx = San->Output;
         V.Sources = std::move(Arg.Sources);
         V.DefLines = std::move(Arg.DefLines);
         V.DefLines.insert(S->Line);
-        Current[S->Target] = std::move(V);
+        Current[Var] = std::move(V);
         ++Stats.SanitizersApplied;
         break;
       }
@@ -412,53 +445,61 @@ dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
         break;
       }
     }
-    if (Block.Terminator) {
+    if (Block.Terminator)
       assert(Block.Succs.size() == 2 && "if block must have two succs");
-      for (unsigned Edge = 0; Edge != Block.Succs.size(); ++Edge) {
-        Env Refined = Current;
-        refineForEdge(Refined, Block.Terminator->Cond, /*Taken=*/Edge == 0,
-                      Block.Terminator->Line, Opts);
-        joinEnv(InEnv[Block.Succs[Edge]], Refined, Opts);
+    for (unsigned Edge = 0; Edge != Block.Succs.size(); ++Edge) {
+      BlockId Succ = Block.Succs[Edge];
+      if (!Slices.ReachesSink[Succ])
+        continue;
+      std::optional<Refinement> R;
+      if (Block.Terminator)
+        R = refineForEdge(Current, Tracked, Block.Terminator->Cond,
+                          /*Taken=*/Edge == 0, Block.Terminator->Line,
+                          Patterns, Opts);
+      if (!R) {
+        joinEnv(InEnv[Succ], Current, Opts);
+        continue;
       }
-    } else {
-      for (BlockId S : Block.Succs)
-        joinEnv(InEnv[S], Current, Opts);
+      // Join the refined environment without copying it: swap the one
+      // refined value in and back out.
+      std::swap(Current[R->Var], R->Value);
+      joinEnv(InEnv[Succ], Current, Opts);
+      std::swap(Current[R->Var], R->Value);
     }
   }
 
   // Emit facts in deterministic (block, statement) order; sinks in dead
   // blocks are trivially safe (no path from the entry reaches them).
+  // Step 3: the prune summaries over each spec's live sinks, and over
+  // the sinks live for any spec.
+  std::vector<char> LiveForAny(Slices.Slices.size(), 0);
   for (size_t I = 0; I != Specs.size(); ++I) {
-    TaintResult &Result = Results[I];
-    for (BlockId B = 0; B != G.numBlocks(); ++B) {
-      for (const Stmt *S : G.block(B).Stmts) {
-        if (S->StmtKind != Stmt::Kind::Sink ||
-            !Specs[I].appliesTo(S->Callee))
-          continue;
-        auto It = Facts[I].find(S);
-        if (It != Facts[I].end()) {
-          Result.Sinks.push_back(std::move(It->second));
-          continue;
-        }
-        SinkFact Dead;
-        Dead.Sink = S;
-        Dead.Line = S->Line;
-        Dead.Callee = S->Callee;
-        Dead.Reachable = false;
-        Dead.ProvenSafe = true;
-        Result.Sinks.push_back(std::move(Dead));
+    TaintResult &Result = Audit.PerSpec[I];
+    std::vector<char> Live(Slices.Slices.size(), 0);
+    for (size_t K = 0; K != Slices.Slices.size(); ++K) {
+      const SinkSlice &Slice = Slices.Slices[K];
+      if (!Specs[I].appliesTo(Slice.Sink->Callee))
+        continue;
+      if (Facts[I][K]) {
+        Live[K] = !Facts[I][K]->ProvenSafe;
+        Result.Sinks.push_back(std::move(*Facts[I][K]));
+        continue;
       }
+      SinkFact Dead;
+      Dead.Sink = Slice.Sink;
+      Dead.Line = Slice.Line;
+      Dead.Callee = Slice.Sink->Callee;
+      Dead.Reachable = false;
+      Dead.ProvenSafe = true;
+      Result.Sinks.push_back(std::move(Dead));
     }
+    Result.Prune = pruneSummary(Slices, Live);
+    for (size_t K = 0; K != Live.size(); ++K)
+      LiveForAny[K] |= Live[K];
     Stats.SinksSeen += Result.Sinks.size();
     Stats.SinksProvenSafe += Result.numProvenSafe();
-    Result.Ok = true;
   }
-  return Results;
-}
-
-TaintResult dprle::miniphp::analyzeTaint(const Program &P, const Cfg &G,
-                                         const AttackSpec &Attack,
-                                         const TaintOptions &Opts) {
-  std::vector<TaintResult> Results = analyzeTaintAll(P, G, {Attack}, Opts);
-  return std::move(Results.front());
+  Audit.Prune = pruneSummary(Slices, LiveForAny);
+  Audit.Ok = true;
+  return Audit;
 }

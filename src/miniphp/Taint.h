@@ -2,7 +2,9 @@
 ///
 /// \file
 /// A forward, flow-sensitive dataflow pass over a Cfg that computes, for
-/// every variable at every program point, a taint fact in the lattice
+/// every variable whose value can flow into a sink, at every point of the
+/// blocks that can reach one (the backward slices of Slice.h say which),
+/// a taint fact in the lattice
 ///
 ///   Untainted  ⊑  Tainted  ⊑  Top
 ///
@@ -31,7 +33,8 @@
 
 #include "automata/Nfa.h"
 #include "miniphp/Cfg.h"
-#include "miniphp/SymExec.h"
+#include "miniphp/Policy.h"
+#include "miniphp/Slice.h"
 #include "support/Stats.h"
 
 #include <cstdint>
@@ -86,12 +89,10 @@ struct TaintValue {
 /// Knobs for the dataflow pass.
 struct TaintOptions {
   /// Widen a value's Approx to Sigma-star once it exceeds this many NFA
-  /// states; bounds join/concat growth on diamond-heavy CFGs.
+  /// states; bounds join/concat growth on diamond-heavy CFGs. A refined
+  /// value is stored minimized, and the determinization that minimizes
+  /// it gives up (widening likewise) once it passes this many states.
   unsigned ApproxStateCap = 128;
-  /// Safety cap on fixpoint sweeps. Cfg::build only produces DAGs, for
-  /// which a single reverse-post-order sweep converges; the cap guards
-  /// against a future cyclic CFG.
-  unsigned MaxPasses = 4;
 };
 
 /// The verdict for one sink statement.
@@ -113,52 +114,68 @@ struct SinkFact {
   std::set<unsigned> ValueLines;
 };
 
-/// The result of one taint pass.
+/// The taint facts for one attack spec.
 struct TaintResult {
-  /// False when the CFG could not be ordered (cyclic — cannot happen for
-  /// Cfg::build output); consumers must then skip all pruning.
-  bool Ok = false;
   /// One fact per sink matching the attack spec, in CFG (block, index)
   /// discovery order.
   std::vector<SinkFact> Sinks;
+  /// What symbolic execution may skip for this spec: the slices of its
+  /// live (not proven-safe) sinks.
+  PruneSummary Prune;
 
-  const SinkFact *factFor(const Stmt *S) const;
   unsigned numProvenSafe() const;
 };
 
-/// Runs the forward taint pass over \p G (built from \p P) for the sinks
-/// selected by \p Attack.
-TaintResult analyzeTaint(const Program &P, const Cfg &G,
-                         const AttackSpec &Attack,
-                         const TaintOptions &Opts = {});
+/// The result of one taint pre-pass over every spec of an audit.
+struct TaintAudit {
+  /// False when the CFG could not be ordered (cyclic — cannot happen for
+  /// Cfg::build output); consumers must then skip all pruning.
+  bool Ok = false;
+  /// The backward slices the sweep was scoped by (step 1).
+  CfgSlices Slices;
+  /// Per spec, parallel to the specs passed in.
+  std::vector<TaintResult> PerSpec;
+  /// Union of the per-spec prune summaries: the shared multi-spec walk
+  /// keeps an assignment while its target is relevant to ANY spec.
+  PruneSummary Prune;
+};
 
-/// Runs ONE forward sweep for every spec at once and returns per-spec
-/// results (parallel to \p Specs). The abstract environments do not
-/// depend on the attack spec — only the per-sink ProvenSafe verdict
-/// does — so the fixpoint, the per-edge refinements, and the shared
-/// value machines are computed once; each sink then checks its abstract
-/// language against each auditing spec's attack language (sharing
-/// DecisionCache entries when approximations repeat across sinks).
-/// Result[i].Sinks is identical to analyzeTaint(P, G, Specs[i], Opts).
-std::vector<TaintResult> analyzeTaintAll(const Program &P, const Cfg &G,
-                                         const std::vector<AttackSpec> &Specs,
-                                         const TaintOptions &Opts = {});
+/// Runs the taint pre-pass over \p G for every spec at once, slice first:
+///
+///  1. sliceSinks() slices every sink some spec audits, from the CFG
+///     alone;
+///  2. ONE forward sweep visits only the blocks that can reach such a
+///     sink and tracks only the variables whose values can flow into one
+///     (CfgSlices::ValueVars). The abstract environments do not depend on
+///     the attack spec — only the per-sink ProvenSafe verdict does — so
+///     the sweep, its refinements, and the shared value machines are
+///     computed once; each sink then checks its abstract language against
+///     each auditing spec's attack language (sharing DecisionCache entries
+///     when approximations repeat across sinks);
+///  3. the prune summaries are taken over each spec's live sinks.
+///
+/// Restricting the sweep is exact: every fact equals what a sweep over
+/// all blocks and variables would derive (docs/TAINT.md).
+TaintAudit analyzeTaintAll(const Cfg &G, const std::vector<AttackSpec> &Specs,
+                           const TaintOptions &Opts = {});
 
 /// Process-wide counters for the pass, published to the StatsRegistry
 /// under "miniphp.taint.*" (see docs/OBSERVABILITY.md).
 struct TaintStats {
-  /// analyzeTaint() invocations.
+  /// analyzeTaintAll() invocations.
   RelaxedCounter Runs;
   /// Sinks examined (matching the attack spec), across runs.
   RelaxedCounter SinksSeen;
   /// Sinks proven safe without solving.
   RelaxedCounter SinksProvenSafe;
-  /// Sanitizer edges applied (preg_match / equality refinements).
+  /// Sanitizer edges applied (preg_match / equality refinements) to
+  /// tracked variables.
   RelaxedCounter EdgesRefined;
   /// Sanitizer transformer models applied to calls ($x = addslashes(..)
-  /// and friends; miniphp/Policy.h).
+  /// and friends; miniphp/Policy.h) that define tracked variables.
   RelaxedCounter SanitizersApplied;
-  /// Values widened to Sigma-star at the state cap.
+  /// Values of tracked variables widened to Sigma-star at the state cap
+  /// (or at the cap on a refinement's determinization).
   RelaxedCounter ApproxWidened;
   /// Dataflow sweeps executed (1 per run on DAG CFGs).
   RelaxedCounter FixpointPasses;

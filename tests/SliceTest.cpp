@@ -31,24 +31,20 @@ std::vector<AttackSpec> registrySpecs() {
   return Specs;
 }
 
-/// Parses, unrolls, builds the CFG, and runs the shared taint pass plus
-/// the audit slicer over every registered policy.
+/// Parses, unrolls, builds the CFG, and runs the shared taint pre-pass
+/// (slices, sweep, prune summaries) over every registered policy.
 struct AuditSliceRun {
   Program Prog;
   Cfg G;
-  std::vector<TaintResult> Taints;
-  AuditSliceResult Slices;
+  TaintAudit Audit;
 
   explicit AuditSliceRun(const std::string &Source) {
     ParseResult R = parseProgram(Source);
     EXPECT_TRUE(R.Ok) << R.Error;
     Prog = unrollLoops(R.Prog, 3);
     G = Cfg::build(Prog);
-    Taints = analyzeTaintAll(Prog, G, registrySpecs());
-    for (const TaintResult &T : Taints)
-      EXPECT_TRUE(T.Ok);
-    Slices = computeAuditSlices(G, Taints);
-    EXPECT_TRUE(Slices.Ok);
+    Audit = analyzeTaintAll(G, registrySpecs());
+    EXPECT_TRUE(Audit.Ok);
   }
 
   /// Index of \p Id in the registry's policy order.
@@ -61,8 +57,16 @@ struct AuditSliceRun {
     return 0;
   }
 
-  const SliceResult &forPolicy(const std::string &Id) const {
-    return Slices.PerPolicy[policyIndex(Id)];
+  const TaintResult &forPolicy(const std::string &Id) const {
+    return Audit.PerSpec[policyIndex(Id)];
+  }
+
+  /// The slice of the \p N-th sink policy \p Id audits.
+  const SinkSlice &sliceOf(const std::string &Id, size_t N) const {
+    const SinkSlice *Slice =
+        Audit.Slices.sliceFor(forPolicy(Id).Sinks.at(N).Sink);
+    EXPECT_NE(Slice, nullptr);
+    return *Slice;
   }
 };
 
@@ -84,23 +88,28 @@ exec("paint " . $color);
 TEST(SliceTest, EachPolicyKeepsExactlyItsVariables) {
   AuditSliceRun Run(MultiClassSource);
 
-  const SliceResult &Sql = Run.forPolicy("sqli");
-  ASSERT_EQ(Sql.Slices.size(), 1u);
-  EXPECT_EQ(Sql.RelevantVars, (std::set<std::string>{"id", "sql"}));
+  const TaintResult &Sql = Run.forPolicy("sqli");
+  ASSERT_EQ(Sql.Sinks.size(), 1u);
+  EXPECT_EQ(Sql.Prune.RelevantVars, (std::set<std::string>{"id", "sql"}));
 
-  const SliceResult &Xss = Run.forPolicy("xss");
-  ASSERT_EQ(Xss.Slices.size(), 1u);
-  EXPECT_EQ(Xss.RelevantVars, (std::set<std::string>{"name"}));
+  const TaintResult &Xss = Run.forPolicy("xss");
+  ASSERT_EQ(Xss.Sinks.size(), 1u);
+  EXPECT_EQ(Xss.Prune.RelevantVars, (std::set<std::string>{"name"}));
 
-  const SliceResult &Cmd = Run.forPolicy("cmd");
-  ASSERT_EQ(Cmd.Slices.size(), 1u);
-  EXPECT_EQ(Cmd.RelevantVars, (std::set<std::string>{"color"}));
+  const TaintResult &Cmd = Run.forPolicy("cmd");
+  ASSERT_EQ(Cmd.Sinks.size(), 1u);
+  EXPECT_EQ(Cmd.Prune.RelevantVars, (std::set<std::string>{"color"}));
 
   // No path sinks anywhere: an empty slice, not an error.
-  const SliceResult &Path = Run.forPolicy("path");
-  EXPECT_TRUE(Path.Ok);
-  EXPECT_TRUE(Path.Slices.empty());
-  EXPECT_TRUE(Path.RelevantVars.empty());
+  const TaintResult &Path = Run.forPolicy("path");
+  EXPECT_TRUE(Run.Audit.Ok);
+  EXPECT_TRUE(Path.Sinks.empty());
+  EXPECT_TRUE(Path.Prune.RelevantVars.empty());
+
+  // The sweep tracks the union of the sinks' value variables — never
+  // $junk, which feeds no sink.
+  EXPECT_EQ(Run.Audit.Slices.ValueVars,
+            (std::set<std::string>{"id", "sql", "name", "color"}));
 }
 
 TEST(SliceTest, AuditUnionsCombinePoliciesAndDropDeadVariables) {
@@ -109,32 +118,45 @@ TEST(SliceTest, AuditUnionsCombinePoliciesAndDropDeadVariables) {
   // The union keeps every variable some policy needs — and nothing else:
   // $junk feeds no sink of any class, so the shared walk may skip its
   // binding for all policies at once.
-  EXPECT_EQ(Run.Slices.RelevantVars,
+  EXPECT_EQ(Run.Audit.Prune.RelevantVars,
             (std::set<std::string>{"id", "sql", "name", "color"}));
-  EXPECT_EQ(Run.Slices.RelevantVars.count("junk"), 0u);
+  EXPECT_EQ(Run.Audit.Prune.RelevantVars.count("junk"), 0u);
 
   // Straight-line code with live sinks: every block reaches one.
-  ASSERT_EQ(Run.Slices.ReachesLiveSink.size(), Run.G.numBlocks());
+  ASSERT_EQ(Run.Audit.Prune.ReachesLiveSink.size(), Run.G.numBlocks());
   for (unsigned B = 0; B != Run.G.numBlocks(); ++B)
-    EXPECT_TRUE(Run.Slices.ReachesLiveSink[B]) << "block " << B;
+    EXPECT_TRUE(Run.Audit.Prune.ReachesLiveSink[B]) << "block " << B;
 }
 
 TEST(SliceTest, SharedSlicesMatchStandaloneSinglePolicyRuns) {
+  // The shared pass tracks the value variables of every policy's sinks,
+  // a standalone pass only its own: the facts and summaries must agree.
   AuditSliceRun Run(MultiClassSource);
   std::vector<AttackSpec> Specs = registrySpecs();
   for (size_t I = 0; I != Specs.size(); ++I) {
-    TaintResult Single = analyzeTaint(Run.Prog, Run.G, Specs[I]);
+    TaintAudit Single = analyzeTaintAll(Run.G, {Specs[I]});
     ASSERT_TRUE(Single.Ok);
-    SliceResult Expected = computeSlices(Run.G, Single);
-    const SliceResult &Shared = Run.Slices.PerPolicy[I];
-    ASSERT_EQ(Shared.Slices.size(), Expected.Slices.size());
-    for (size_t S = 0; S != Expected.Slices.size(); ++S) {
-      EXPECT_EQ(Shared.Slices[S].Line, Expected.Slices[S].Line);
-      EXPECT_EQ(Shared.Slices[S].Lines, Expected.Slices[S].Lines);
-      EXPECT_EQ(Shared.Slices[S].Vars, Expected.Slices[S].Vars);
+    const TaintResult &Expected = Single.PerSpec.front();
+    const TaintResult &Shared = Run.Audit.PerSpec[I];
+    ASSERT_EQ(Shared.Sinks.size(), Expected.Sinks.size());
+    ASSERT_EQ(Single.Slices.Slices.size(), Expected.Sinks.size());
+    for (size_t S = 0; S != Expected.Sinks.size(); ++S) {
+      const SinkFact &E = Expected.Sinks[S], &F = Shared.Sinks[S];
+      EXPECT_EQ(F.Sink, E.Sink);
+      EXPECT_EQ(F.Level, E.Level);
+      EXPECT_EQ(F.Sources, E.Sources);
+      EXPECT_EQ(F.ValueLines, E.ValueLines);
+      EXPECT_EQ(F.ProvenSafe, E.ProvenSafe);
+      EXPECT_EQ(F.Reachable, E.Reachable);
+      const SinkSlice &Want = Single.Slices.Slices[S];
+      const SinkSlice *Got = Run.Audit.Slices.sliceFor(F.Sink);
+      ASSERT_NE(Got, nullptr);
+      EXPECT_EQ(Got->Line, Want.Line);
+      EXPECT_EQ(Got->Lines, Want.Lines);
+      EXPECT_EQ(Got->Vars, Want.Vars);
     }
-    EXPECT_EQ(Shared.RelevantVars, Expected.RelevantVars);
-    EXPECT_EQ(Shared.ReachesLiveSink, Expected.ReachesLiveSink);
+    EXPECT_EQ(Shared.Prune.RelevantVars, Expected.Prune.RelevantVars);
+    EXPECT_EQ(Shared.Prune.ReachesLiveSink, Expected.Prune.ReachesLiveSink);
   }
 }
 
@@ -149,22 +171,26 @@ if (!preg_match('/[a-z]+$/', $color)) { unp_msgBox('bad'); exit; }
 exec("paint " . $color);
 )php");
 
-  const SliceResult &Cmd = Run.forPolicy("cmd");
-  ASSERT_EQ(Cmd.Slices.size(), 1u);
-  EXPECT_TRUE(Cmd.RelevantVars.count("color"));
+  const TaintResult &Cmd = Run.forPolicy("cmd");
+  ASSERT_EQ(Cmd.Sinks.size(), 1u);
+  EXPECT_TRUE(Cmd.Prune.RelevantVars.count("color"));
   // The unanchored filter does not prove the sink safe, so its lines —
   // definition, filter, sink — are all in the slice.
-  EXPECT_TRUE(Cmd.Slices[0].Lines.count(4)); // $color = ...
-  EXPECT_TRUE(Cmd.Slices[0].Lines.count(5)); // the preg_match guard
-  EXPECT_TRUE(Cmd.Slices[0].Lines.count(6)); // the sink
+  const SinkSlice &CmdSlice = Run.sliceOf("cmd", 0);
+  EXPECT_TRUE(CmdSlice.Lines.count(4)); // $color = ...
+  EXPECT_TRUE(CmdSlice.Lines.count(5)); // the preg_match guard
+  EXPECT_TRUE(CmdSlice.Lines.count(6)); // the sink
 
   // The echo sink shares a block with the branch terminator, and the
   // slicer conservatively keeps the condition variables of every block
   // on a path to the sink — including the sink's own block — so the
   // guard variable rides along (sound: pruning keeps more, never less).
-  const SliceResult &Xss = Run.forPolicy("xss");
-  ASSERT_EQ(Xss.Slices.size(), 1u);
-  EXPECT_EQ(Xss.RelevantVars, (std::set<std::string>{"color", "name"}));
+  // Its value never flows into the echo, so the taint sweep need not
+  // track it for that sink.
+  const TaintResult &Xss = Run.forPolicy("xss");
+  ASSERT_EQ(Xss.Sinks.size(), 1u);
+  EXPECT_EQ(Xss.Prune.RelevantVars, (std::set<std::string>{"color", "name"}));
+  EXPECT_EQ(Run.sliceOf("xss", 0).ValueVars, (std::set<std::string>{"name"}));
 }
 
 TEST(SliceTest, SanitizedSinksLeaveNoLiveResidue) {
@@ -181,18 +207,18 @@ include("pages/" . $dir);
 )php");
 
   for (const char *Id : {"sqli", "path"}) {
-    const SliceResult &S = Run.forPolicy(Id);
-    ASSERT_EQ(S.Slices.size(), 1u) << Id;
-    EXPECT_TRUE(S.RelevantVars.empty()) << Id;
+    const TaintResult &S = Run.forPolicy(Id);
+    ASSERT_EQ(S.Sinks.size(), 1u) << Id;
+    EXPECT_TRUE(S.Prune.RelevantVars.empty()) << Id;
   }
-  EXPECT_TRUE(Run.Slices.RelevantVars.empty());
+  EXPECT_TRUE(Run.Audit.Prune.RelevantVars.empty());
   for (unsigned B = 0; B != Run.G.numBlocks(); ++B)
-    EXPECT_FALSE(Run.Slices.ReachesLiveSink[B]) << "block " << B;
+    EXPECT_FALSE(Run.Audit.Prune.ReachesLiveSink[B]) << "block " << B;
 
   // The sanitizer call still counts as a defining statement in the
   // human-facing slice of its sink (data provenance), even though the
   // model output is input-independent.
-  const SinkSlice &SqlSlice = Run.forPolicy("sqli").Slices[0];
+  const SinkSlice &SqlSlice = Run.sliceOf("sqli", 0);
   EXPECT_TRUE(SqlSlice.Vars.count("safe"));
   EXPECT_TRUE(SqlSlice.Vars.count("name"));
 }

@@ -7,10 +7,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "miniphp/Taint.h"
+#include "automata/NfaOps.h"
 #include "miniphp/Parser.h"
 #include "miniphp/Slice.h"
 #include "miniphp/SymExec.h"
 #include "miniphp/Unroll.h"
+#include "regex/RegexCompiler.h"
+#include "regex/RegexParser.h"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,7 @@ namespace {
 struct TaintRun {
   Program Prog;
   Cfg G;
+  TaintAudit Audit;
   TaintResult T;
 
   explicit TaintRun(const std::string &Source, unsigned Unroll = 3) {
@@ -31,8 +35,9 @@ struct TaintRun {
     EXPECT_TRUE(R.Ok) << R.Error;
     Prog = unrollLoops(R.Prog, Unroll);
     G = Cfg::build(Prog);
-    T = analyzeTaint(Prog, G, AttackSpec::sqlQuote());
-    EXPECT_TRUE(T.Ok);
+    Audit = analyzeTaintAll(G, {AttackSpec::sqlQuote()});
+    EXPECT_TRUE(Audit.Ok);
+    T = Audit.PerSpec.front();
   }
 };
 
@@ -184,25 +189,23 @@ TEST(TaintTest, SliceTracksDefsAndGuards) {
                "if (preg_match('/x/', $a)) { $b = $a . '!'; } "
                "else { $b = 'c'; }\n"
                "query($b);\n");
-  SliceResult S = computeSlices(Run.G, Run.T);
-  ASSERT_TRUE(S.Ok);
-  ASSERT_EQ(S.Slices.size(), 1u);
-  const SinkSlice &Slice = S.Slices.front();
+  ASSERT_EQ(Run.Audit.Slices.Slices.size(), 1u);
+  const SinkSlice &Slice = Run.Audit.Slices.Slices.front();
   // $b's definitions, $a's definition, the guard, and the sink — but
   // not the unrelated line 2.
   EXPECT_EQ(Slice.Lines, (std::set<unsigned>{1, 3, 4}));
   EXPECT_EQ(Slice.Vars, (std::set<std::string>{"a", "b"}));
-  EXPECT_TRUE(S.RelevantVars.count("a"));
-  EXPECT_FALSE(S.RelevantVars.count("junk"));
+  EXPECT_TRUE(Run.T.Prune.RelevantVars.count("a"));
+  EXPECT_FALSE(Run.T.Prune.RelevantVars.count("junk"));
 }
 
 TEST(TaintTest, NoLiveSinkMeansNothingIsRelevant) {
   TaintRun Run("$x = $_POST['k'];\n"
                "if (!preg_match('/^[0-9]+$/', $x)) { exit; }\n"
                "query(\"id=\" . $x);\n");
-  SliceResult S = computeSlices(Run.G, Run.T);
-  ASSERT_TRUE(S.Ok);
+  const PruneSummary &S = Run.T.Prune;
   EXPECT_TRUE(S.RelevantVars.empty());
+  ASSERT_EQ(S.ReachesLiveSink.size(), Run.G.numBlocks());
   for (BlockId B = 0; B != Run.G.numBlocks(); ++B)
     EXPECT_FALSE(S.ReachesLiveSink[B]);
 }
@@ -236,4 +239,87 @@ TEST(TaintTest, PruningDropsProvenSafeSinkPaths) {
   // second path reports.
   EXPECT_EQ(Pruned.Paths.front().SinkLine,
             Baseline.Paths.back().SinkLine);
+}
+
+namespace {
+
+/// Counter deltas of one taint pass.
+struct TaintCounters {
+  uint64_t EdgesRefined, ApproxWidened;
+
+  static TaintCounters now() {
+    const TaintStats &S = TaintStats::global();
+    return {S.EdgesRefined.get(), S.ApproxWidened.get()};
+  }
+  TaintCounters operator-(const TaintCounters &Before) const {
+    return {EdgesRefined - Before.EdgesRefined,
+            ApproxWidened - Before.ApproxWidened};
+  }
+};
+
+} // namespace
+
+TEST(TaintTest, RefinementsOutsideTheSliceCostNothing) {
+  // $z guards the sink but its value never flows into it, and $w is
+  // checked only after the sink, on edges that reach no sink: the sweep
+  // tracks neither, so the one refinement it pays for is $x's filter.
+  TaintCounters Before = TaintCounters::now();
+  TaintRun Run("$x = $_GET['a'];\n"
+               "$z = $_GET['z'];\n"
+               "if (!preg_match('/^[a-z]+$/', $z)) { exit; }\n"
+               "if (!preg_match('/^[0-9]+$/', $x)) { exit; }\n"
+               "query(\"id=\" . $x);\n"
+               "$w = $_GET['w'];\n"
+               "if (preg_match('/^[a-z]+$/', $w)) { $v = $w; }\n");
+  TaintCounters Delta = TaintCounters::now() - Before;
+  EXPECT_EQ(Delta.EdgesRefined, 1u);
+  EXPECT_EQ(Delta.ApproxWidened, 0u);
+  EXPECT_EQ(Run.Audit.Slices.ValueVars, std::set<std::string>{"x"});
+  ASSERT_EQ(Run.T.Sinks.size(), 1u);
+  EXPECT_TRUE(Run.T.Sinks.front().ProvenSafe);
+  // The guard variable still belongs to the sink's slice, for symbolic
+  // execution's path feasibility.
+  EXPECT_TRUE(Run.Audit.Slices.Slices.front().Vars.count("z"));
+}
+
+TEST(TaintTest, RefinementChainsStayMinimal) {
+  // Twelve anchored digit filters on one input: each refinement is
+  // stored minimized, so the chain never grows toward the state cap and
+  // nothing is widened.
+  std::string Source = "$x = $_GET['id'];\n";
+  for (unsigned I = 0; I != 12; ++I)
+    Source += I % 2 ? "if (!preg_match('/^[0-9]+$/', $x)) { exit; }\n"
+                    : "if (!preg_match('/^[0-9][0-9]*$/', $x)) { exit; }\n";
+  Source += "query(\"id=\" . $x);\n";
+  TaintCounters Before = TaintCounters::now();
+  TaintRun Run(Source);
+  TaintCounters Delta = TaintCounters::now() - Before;
+  EXPECT_EQ(Delta.EdgesRefined, 12u);
+  EXPECT_EQ(Delta.ApproxWidened, 0u);
+  ASSERT_EQ(Run.T.Sinks.size(), 1u);
+  EXPECT_TRUE(Run.T.Sinks.front().ProvenSafe);
+  EXPECT_EQ(Run.T.Sinks.front().ValueLines.size(), 14u); // def, 12 filters, sink
+}
+
+TEST(TaintTest, RefinementPastTheCapIsWidenedNotBuilt) {
+  // The search language of an a followed by eight a-or-b letters at the
+  // end needs a DFA of more than 2^8 states: far past the 128-state cap.
+  // The refinement is widened to Sigma-star instead of determinized in
+  // full, which is sound — the sink merely stays live.
+  const std::string Pattern = "a[ab][ab][ab][ab][ab][ab][ab][ab]$";
+  RegexParseResult R = parseRegex(Pattern);
+  ASSERT_TRUE(R.ok());
+  Nfa Search = searchLanguage(R);
+  EXPECT_FALSE(determinizeWithin(Search, TaintOptions().ApproxStateCap));
+  EXPECT_GT(determinize(Search).numStates(), TaintOptions().ApproxStateCap);
+
+  TaintCounters Before = TaintCounters::now();
+  TaintRun Run("$x = $_GET['q'];\n"
+               "if (preg_match('/" + Pattern + "/', $x)) { query($x); }\n");
+  TaintCounters Delta = TaintCounters::now() - Before;
+  EXPECT_EQ(Delta.EdgesRefined, 1u);
+  EXPECT_EQ(Delta.ApproxWidened, 1u);
+  ASSERT_EQ(Run.T.Sinks.size(), 1u);
+  EXPECT_FALSE(Run.T.Sinks.front().ProvenSafe);
+  EXPECT_EQ(Run.T.Sinks.front().ValueLines, (std::set<unsigned>{1, 2}));
 }

@@ -558,14 +558,14 @@ int dprle::tools::runTaint(const std::vector<std::string> &Args,
   }
   miniphp::Program Prog = miniphp::unrollLoops(Inlined.Prog, LoopUnroll);
   miniphp::Cfg G = miniphp::Cfg::build(Prog);
-  miniphp::TaintResult Taint = miniphp::analyzeTaint(Prog, G, Attack);
-  miniphp::SliceResult Slices = miniphp::computeSlices(G, Taint);
+  miniphp::TaintAudit Audit = miniphp::analyzeTaintAll(G, {Attack});
   bool ArtifactsOk = Obs.finishTrace("taint", Path, Err);
-  if (!Taint.Ok) {
+  if (!Audit.Ok) {
     Err << Path << ": error: taint pass could not order the CFG\n";
     return 2;
   }
 
+  const miniphp::TaintResult &Taint = Audit.PerSpec.front();
   unsigned ProvenSafe = Taint.numProvenSafe();
   int ExitCode = Taint.Sinks.empty()
                      ? 3
@@ -607,7 +607,7 @@ int dprle::tools::runTaint(const std::vector<std::string> &Args,
             : Fact.ProvenSafe ? "proven safe"
                               : "needs solving")
         << "\n";
-    if (const miniphp::SinkSlice *Slice = Slices.sliceFor(Fact.Sink)) {
+    if (const miniphp::SinkSlice *Slice = Audit.Slices.sliceFor(Fact.Sink)) {
       Out << "  slice:";
       for (unsigned Line : Slice->Lines)
         Out << " " << Line;
